@@ -33,7 +33,6 @@ kill).  Crash recovery and compensation are the gateway's job
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from typing import Optional
@@ -46,6 +45,7 @@ from repro.gateway.wire import (
     WireFormatError,
     slow_fault_delay_s,
 )
+from repro.hw.stats import ExactSum
 
 #: Queue frames (gateway -> worker).
 REQUEST_FRAME = "request"
@@ -59,17 +59,19 @@ DRAINED_FRAME = "drained"
 class _PhysicalTotals:
     """Running physical ledger of one worker's accelerator.
 
-    The accelerator's own ``total_*()`` helpers are O(completed runs) per
-    call, so the worker folds finished runs into these counters after
-    every request and clears the run list — memory and snapshot cost stay
-    flat no matter how many requests the worker serves.  Per-run energies
-    are retained so the drain-time totals can use :func:`math.fsum`
-    (order-independent, correctly rounded), matching the exactness
-    contract of :meth:`~repro.serve.accounting.AccountingLedger.verify_partition`.
+    :func:`serve_one` resets the accelerator before every request, so its
+    ``completed_runs`` only ever hold the request just served; the worker
+    folds those runs into these worker-lifetime counters after each
+    request.  Memory and snapshot cost stay flat no matter how many
+    requests the worker serves.  The energy is also accumulated exactly
+    (:class:`~repro.hw.stats.ExactSum`), so the drain-time total equals
+    :func:`math.fsum` over every run's energy (order-independent,
+    correctly rounded), matching the exactness contract of
+    :meth:`~repro.serve.accounting.AccountingLedger.verify_partition`.
     """
 
     def __init__(self) -> None:
-        self.run_energies_j: list[float] = []
+        self.exact_energy_j = ExactSum()
         self.energy_j = 0.0           # running sum (snapshot currency)
         self.latency_s = 0.0
         self.cell_writes = 0
@@ -79,9 +81,9 @@ class _PhysicalTotals:
         self.dma_bytes = 0
 
     def fold(self, accelerator) -> None:
-        """Absorb (and clear) the accelerator's finished runs."""
+        """Absorb the runs of the request just served."""
         for run in accelerator.completed_runs:
-            self.run_energies_j.append(run.energy_j)
+            self.exact_energy_j.add(run.energy_j)
             self.energy_j += run.energy_j
             self.latency_s += run.latency_s
             self.cell_writes += run.crossbar_cell_writes
@@ -89,7 +91,6 @@ class _PhysicalTotals:
             self.gemv_count += run.gemv_count
             self.macs += run.macs
             self.dma_bytes += run.dma_bytes
-        accelerator.completed_runs.clear()
 
     def snapshot(self) -> dict[str, float]:
         return {
@@ -103,9 +104,9 @@ class _PhysicalTotals:
         }
 
     def authoritative(self) -> dict[str, float]:
-        """Drain-time totals with the energy re-summed exactly."""
+        """Drain-time totals with the energy summed exactly."""
         totals = self.snapshot()
-        totals["energy_j"] = math.fsum(self.run_energies_j)
+        totals["energy_j"] = self.exact_energy_j.value
         return totals
 
 
@@ -155,7 +156,7 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
     and round differently depending on how much the server served before.
     The caller must fold ``accelerator.completed_runs`` (via
     :class:`_PhysicalTotals`) *before* the next call — the reset clears
-    them.
+    them (and the accelerator's running totals with them).
     """
     from repro.serve.request import RequestStatus
 

@@ -34,7 +34,7 @@ from repro.hw.crossbar import CrossbarConfig
 from repro.hw.dma import DMAEngine
 from repro.hw.energy import CimEnergyModel
 from repro.hw.microengine import Conv2DRequest, GemmRequest, MicroEngine, MicroEngineResult
-from repro.hw.stats import EnergyLedger, StatCounter
+from repro.hw.stats import EnergyLedger, RunningSum, StatCounter
 from repro.hw.tile import CIMTile
 from repro.hw.timeline import Timeline
 
@@ -143,8 +143,11 @@ class CIMAccelerator:
             num_tiles=self.config.num_tiles,
         )
         self.registers = ContextRegisterFile(on_start=self._on_start)
+        # Only _on_start appends and only reset_stats clears: the running
+        # totals behind the total_*() helpers track this list exactly.
         self.completed_runs: list[AcceleratorRunStats] = []
         self.last_run: Optional[AcceleratorRunStats] = None
+        self._reset_totals()
 
     # ------------------------------------------------------------------
     # PMIO interface used by the driver
@@ -205,6 +208,10 @@ class CIMAccelerator:
             dma_bytes=result.dma_bytes + (self.dma.total_bytes - dma_bytes_before),
         )
         self.completed_runs.append(stats)
+        self._energy_j.add(stats.energy_j)
+        self._latency_s.add(stats.latency_s)
+        self._cell_writes += stats.crossbar_cell_writes
+        self._macs += stats.macs
         self.last_run = stats
         self.registers.set_status(Status.DONE)
 
@@ -301,20 +308,29 @@ class CIMAccelerator:
     def num_tiles(self) -> int:
         return self.config.num_tiles
 
+    # The total_*() helpers are O(1): running totals kept in append order,
+    # bit-identical to sum() over completed_runs.
     def total_energy_j(self) -> float:
-        return sum(run.energy_j for run in self.completed_runs)
+        return self._energy_j.value
 
     def total_latency_s(self) -> float:
-        return sum(run.latency_s for run in self.completed_runs)
+        return self._latency_s.value
 
     def total_cell_writes(self) -> int:
-        return sum(run.crossbar_cell_writes for run in self.completed_runs)
+        return self._cell_writes
 
     def total_macs(self) -> int:
-        return sum(run.macs for run in self.completed_runs)
+        return self._macs
+
+    def _reset_totals(self) -> None:
+        self._energy_j = RunningSum()
+        self._latency_s = RunningSum()
+        self._cell_writes = 0
+        self._macs = 0
 
     def reset_stats(self) -> None:
         self.completed_runs.clear()
+        self._reset_totals()
         self.last_run = None
         self.energy.reset()
         self.counters.reset()

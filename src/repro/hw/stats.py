@@ -15,9 +15,14 @@ triggers the exact same sequence of charges).
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+#: ``sum()`` over floats compensates its additions (Neumaier) from 3.12 on.
+_SUM_IS_COMPENSATED = sys.version_info >= (3, 12)
 
 
 class EnergyLedger:
@@ -61,6 +66,71 @@ class EnergyLedger:
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v:.3e}J" for k, v in sorted(self._joules.items()))
         return f"EnergyLedger({parts})"
+
+
+class RunningSum:
+    """O(1) running value of the builtin ``sum()`` over the floats added
+    so far, bit for bit, so a total kept on the fly equals the ``sum()``
+    over the full history it replaces.  Like ``sum()`` it is the int ``0``
+    while empty.  It mirrors CPython's float loop: plain left-to-right
+    addition before 3.12, Neumaier-compensated addition from 3.12 on."""
+
+    __slots__ = ("_sum", "_compensation")
+
+    def __init__(self) -> None:
+        self._sum: float = 0
+        self._compensation = 0.0
+
+    def add(self, x: float) -> None:
+        if _SUM_IS_COMPENSATED:
+            s = self._sum
+            t = s + x
+            if abs(s) >= abs(x):
+                self._compensation += (s - t) + x
+            else:
+                self._compensation += (x - t) + s
+            self._sum = t
+        else:
+            self._sum += x
+
+    @property
+    def value(self) -> float:
+        c = self._compensation
+        # Like sum(): skip a zero or non-finite compensation, so neither a
+        # negative zero nor an overflowed total turns into something else.
+        if c and math.isfinite(c):
+            return self._sum + c
+        return self._sum
+
+
+class ExactSum:
+    """Exact running sum of finite floats in O(1) memory: Shewchuk's
+    non-overlapping partials (a few dozen floats at most), whose exact sum
+    is the exact sum of everything added.  :attr:`value` is therefore
+    ``math.fsum`` of the full history, without keeping the history."""
+
+    __slots__ = ("_partials",)
+
+    def __init__(self) -> None:
+        self._partials: list[float] = []
+
+    def add(self, x: float) -> None:
+        partials = self._partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+
+    @property
+    def value(self) -> float:
+        return math.fsum(self._partials)
 
 
 class StatCounter:

@@ -8,22 +8,26 @@ harness and by operators' dashboards in a real deployment).  Percentiles
 are computed on the simulated latencies with linear interpolation, the
 same convention as ``numpy.percentile``; everything is deterministic
 because the underlying clock is.
+
+A snapshot costs O(tenants), not O(requests served): every latency series
+is kept sorted as it grows (``bisect.insort``), so a percentile is one
+interpolation on the sorted list and stays exact; the mean, the maxima
+and the batch occupancy come from running values kept in insertion
+order, bit-identical to the ``sum()``/``max()`` over the full history
+they replace.  Memory is still one float per observation.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Optional
 
+from repro.hw.stats import RunningSum
 
-def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolation percentile (``q`` in [0, 100]) without NumPy —
-    the registry must stay importable in stripped-down tooling."""
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
+
+def _interpolate(ordered: list[float], q: float) -> float:
+    """Linear-interpolation percentile of an already-sorted, non-empty list."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -33,6 +37,20 @@ def percentile(values: list[float], q: float) -> float:
         return ordered[low]
     frac = rank - low
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
+
+
+def _check_percentile(values: list[float], q: float) -> None:
+    if not values:
+        raise ValueError("percentile of an empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Linear-interpolation percentile (``q`` in [0, 100]) without NumPy —
+    the registry must stay importable in stripped-down tooling."""
+    _check_percentile(values, q)
+    return _interpolate(sorted(values), q)
 
 
 class MetricsRegistry:
@@ -47,9 +65,15 @@ class MetricsRegistry:
         self.batches = 0
         self.fused_batches = 0
         self.batch_sizes: list[float] = []
-        self.latencies_s: list[float] = []
-        self.queueing_delays_s: list[float] = []
-        self.tenant_latencies_s: dict[str, list[float]] = {}
+        self._batched_requests = 0
+        self._max_batch_size: float = 0
+        # Latency series, each kept sorted (percentiles), plus the running
+        # sum and max of the overall series in insertion order.
+        self.sorted_latencies_s: list[float] = []
+        self.sorted_queueing_delays_s: list[float] = []
+        self.sorted_tenant_latencies_s: dict[str, list[float]] = {}
+        self._latency_sum_s = RunningSum()
+        self._latency_max_s: Optional[float] = None
         self.compile_cache_hits = 0
         self.compile_cache_misses = 0
         self.peak_queue_depth = 0
@@ -93,6 +117,9 @@ class MetricsRegistry:
     def observe_batch(self, size: int, fused: bool) -> None:
         self.batches += 1
         self.batch_sizes.append(float(size))
+        self._batched_requests += size
+        if self.batches == 1 or size > self._max_batch_size:
+            self._max_batch_size = float(size)
         if fused:
             self.fused_batches += 1
 
@@ -100,9 +127,12 @@ class MetricsRegistry:
         self, tenant: str, latency_s: float, queueing_delay_s: float
     ) -> None:
         self.completed += 1
-        self.latencies_s.append(latency_s)
-        self.queueing_delays_s.append(queueing_delay_s)
-        self.tenant_latencies_s.setdefault(tenant, []).append(latency_s)
+        insort(self.sorted_latencies_s, latency_s)
+        insort(self.sorted_queueing_delays_s, queueing_delay_s)
+        insort(self.sorted_tenant_latencies_s.setdefault(tenant, []), latency_s)
+        self._latency_sum_s.add(latency_s)
+        if self._latency_max_s is None or latency_s > self._latency_max_s:
+            self._latency_max_s = latency_s
 
     def observe_failure(self) -> None:
         self.failed += 1
@@ -174,9 +204,9 @@ class MetricsRegistry:
     @property
     def mean_batch_occupancy(self) -> float:
         """Mean requests per dispatch batch (1.0 = no coalescing)."""
-        if not self.batch_sizes:
+        if not self.batches:
             return 0.0
-        return sum(self.batch_sizes) / len(self.batch_sizes)
+        return self._batched_requests / self.batches
 
     @property
     def compile_cache_hit_rate(self) -> float:
@@ -186,7 +216,8 @@ class MetricsRegistry:
         return self.compile_cache_hits / total
 
     def latency_percentile_s(self, q: float) -> float:
-        return percentile(self.latencies_s, q)
+        _check_percentile(self.sorted_latencies_s, q)
+        return _interpolate(self.sorted_latencies_s, q)
 
     # ------------------------------------------------------------------
     def snapshot(self, queue_depths: Optional[dict[str, int]] = None) -> dict:
@@ -203,7 +234,7 @@ class MetricsRegistry:
                 "batches": self.batches,
                 "fused_batches": self.fused_batches,
                 "mean_occupancy": round(self.mean_batch_occupancy, 3),
-                "max_size": max(self.batch_sizes) if self.batch_sizes else 0,
+                "max_size": self._max_batch_size,
             },
             "queues": {
                 "current_depths": dict(queue_depths or {}),
@@ -247,19 +278,21 @@ class MetricsRegistry:
             # Only when something fired: the simulated tiers never touch
             # these counters and their golden snapshots must stay stable.
             snap["resilience"] = resilience
-        if self.latencies_s:
+        if self.sorted_latencies_s:
+            latencies = self.sorted_latencies_s
+            delays = self.sorted_queueing_delays_s
             snap["latency_s"] = {
-                "p50": self.latency_percentile_s(50),
-                "p99": self.latency_percentile_s(99),
-                "mean": sum(self.latencies_s) / len(self.latencies_s),
-                "max": max(self.latencies_s),
+                "p50": _interpolate(latencies, 50),
+                "p99": _interpolate(latencies, 99),
+                "mean": self._latency_sum_s.value / len(latencies),
+                "max": self._latency_max_s,
             }
             snap["queueing_delay_s"] = {
-                "p50": percentile(self.queueing_delays_s, 50),
-                "p99": percentile(self.queueing_delays_s, 99),
+                "p50": _interpolate(delays, 50),
+                "p99": _interpolate(delays, 99),
             }
             snap["tenant_latency_p99_s"] = {
-                tenant: percentile(values, 99)
-                for tenant, values in sorted(self.tenant_latencies_s.items())
+                tenant: _interpolate(values, 99)
+                for tenant, values in sorted(self.sorted_tenant_latencies_s.items())
             }
         return snap
