@@ -3,8 +3,8 @@
 The repo's other serving tiers are deterministic discrete-event
 simulations on a :class:`~repro.serve.clock.VirtualClock`; this package
 is the wall-clock mode — an ``asyncio`` gateway
-(:class:`~repro.gateway.server.AsyncGateway`) dispatching typed JSON
-requests (:mod:`repro.gateway.wire`) to a pool of worker *processes*
+(:class:`~repro.gateway.server.AsyncGateway`) dispatching typed binary
+request frames (:mod:`repro.gateway.wire`) to a pool of worker *processes*
 (:mod:`repro.gateway.worker`), each owning a private emulated CIM device
 and sharing one flock-guarded on-disk compile cache.  An open-loop load
 generator (:mod:`repro.gateway.loadgen`) replays Poisson or

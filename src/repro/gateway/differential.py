@@ -17,7 +17,7 @@ The same recorded trace is driven through both serving modes —
 
 and the runs must agree **bit-for-bit**: per-request status, failure
 reason and result array bytes; per-request measured usage (every billing
-counter, floats by exact ``==`` — the JSON wire round-trips doubles
+counter, floats by exact ``==`` — the wire frame's JSON header round-trips doubles
 exactly); per-tenant bills (``fsum`` energies by exact equality — fsum
 is correctly rounded and therefore independent of completion order); and
 the aggregate accounting partition on both sides.  This holds because a

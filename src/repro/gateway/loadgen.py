@@ -215,7 +215,7 @@ async def run_open_loop(
         else:
             max_lag_s = max(max_lag_s, -delay_s)
             if index % 64 == 0:
-                # Behind schedule: still yield periodically so collector
+                # Behind schedule: still yield periodically so response
                 # callbacks (responses, retries) keep flowing.
                 await asyncio.sleep(0)
         item = workload(index)

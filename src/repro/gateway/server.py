@@ -15,17 +15,24 @@ Pool architecture (deliberately not ``concurrent.futures`` — a
 dies, and surviving a worker death is this subsystem's headline fault
 model):
 
-* one request ``multiprocessing.Queue`` per worker plus one shared
-  response queue;
-* a collector thread blocks on the response queue and trampolines every
-  frame onto the asyncio loop (``call_soon_threadsafe``), so all gateway
-  state is mutated from the loop thread only;
-* an async monitor task polls worker liveness; a dead worker's in-flight
-  request is compensated (:class:`~repro.serve.accounting.FaultCompensation`)
-  and retried on a surviving worker with its fault marker stripped —
-  exactly-once billing, at-least-once execution;
+* two simplex pipes per worker (:class:`~repro.gateway.worker.Channel`),
+  and no helper threads: the event-loop thread writes each request frame
+  straight into the worker's request pipe, and reads responses from the
+  worker's response pipe when the loop reports it readable
+  (``loop.add_reader``), so all gateway state is mutated from the loop
+  thread only;
+* each request is encoded once, when it is admitted (again only on a
+  retry), and a response frees its worker and sends the next frame
+  *before* its billing, metrics and future resolution run, so the parent's
+  bookkeeping overlaps the worker's next request instead of delaying it;
+* the parent holds only its own end of each pipe, so a dead worker
+  surfaces as end-of-file on its response pipe (or a broken pipe on the
+  next request write): its in-flight request is compensated
+  (:class:`~repro.serve.accounting.FaultCompensation`) and retried on a
+  surviving worker with its fault marker stripped — exactly-once billing,
+  at-least-once execution;
 * at most one request is in flight per worker, so a dead worker strands
-  at most one request and its queue is empty by construction.
+  at most one request.
 
 The resilience layer turns every stall into a bounded, compensated,
 retried event:
@@ -51,7 +58,7 @@ retried event:
   :class:`~repro.serve.admission.TenantQuota` (queue depth, wear and
   energy budgets against the gateway ledger) plus the global
   ``max_pending`` queue-depth shed.
-* **Defensive collection** — an undecodable response frame fails only
+* **Defensive decoding** — an undecodable response frame fails only
   its own request with a typed reason; the byzantine worker is killed
   (its unaccounted work dies with it, keeping the partition exact on its
   last good snapshot) and its slot respawns.
@@ -69,9 +76,9 @@ shipped neither usage nor snapshot, so the partition stays exact).
 from __future__ import annotations
 
 import asyncio
+import json
 import math
-import queue as queue_mod
-import threading
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -85,6 +92,7 @@ from repro.gateway.worker import (
     DRAINED_FRAME,
     REQUEST_FRAME,
     RESPONSE_FRAME,
+    Channel,
     worker_main,
 )
 from repro.serve.accounting import AccountingLedger, FaultCompensation
@@ -237,6 +245,8 @@ class _Flight:
     request: GatewayRequest
     future: asyncio.Future
     submitted_s: float
+    #: The request's wire frame, encoded at admission and again on retry.
+    frame: bytes = b""
     dispatched_s: Optional[float] = None
     worker_id: Optional[int] = None
     #: The deadline expired while the request was in flight: its future
@@ -272,11 +282,13 @@ class _Worker:
     """Gateway-side bookkeeping of one pool worker (one incarnation —
     a respawned slot gets a fresh ``_Worker`` with a fresh id)."""
 
-    def __init__(self, worker_id: int, process, request_queue, slot_id=None,
-                 spare: bool = False):
+    def __init__(self, worker_id: int, process, requests: Channel,
+                 responses: Channel, slot_id=None, spare: bool = False):
         self.worker_id = worker_id
         self.process = process
-        self.request_queue = request_queue
+        #: The gateway's ends of the worker's pipes.
+        self.requests = requests
+        self.responses = responses
         #: Active-pool slot this worker occupies (None while a spare).
         self.slot_id: Optional[int] = slot_id
         self.spare = spare
@@ -325,9 +337,6 @@ class AsyncGateway:
         self._bill_counter = 0
         self._ctx = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._response_queue = None
-        self._collector: Optional[threading.Thread] = None
-        self._collector_stop = threading.Event()
         self._monitor_task: Optional[asyncio.Task] = None
         self._started = False
         self._draining = False
@@ -337,8 +346,7 @@ class AsyncGateway:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "AsyncGateway":
-        """Spawn the worker pool (actives + hot spares), the collector
-        thread and the monitor."""
+        """Spawn the worker pool (actives + hot spares) and the monitor."""
         if self._started:
             raise GatewayError("gateway already started")
         import multiprocessing
@@ -352,9 +360,6 @@ class AsyncGateway:
             )
         self._ctx = multiprocessing.get_context(method)
         self._loop = asyncio.get_running_loop()
-        self._response_queue = self._ctx.Queue()
-        # Workers fork *before* the collector thread exists (forking a
-        # multi-threaded parent is where fork goes wrong).
         for slot_id in range(self.config.num_workers):
             worker = self._spawn_worker(slot_id=slot_id)
             self._slots.append(_Slot(slot_id=slot_id, worker_id=worker.worker_id))
@@ -362,10 +367,6 @@ class AsyncGateway:
         for _ in range(self.config.hot_spares):
             worker = self._spawn_worker(spare=True)
             self._spare_ids.append(worker.worker_id)
-        self._collector = threading.Thread(
-            target=self._collect, name="gateway-collector", daemon=True
-        )
-        self._collector.start()
         self._monitor_task = self._loop.create_task(self._monitor())
         self._started = True
         return self
@@ -376,18 +377,26 @@ class AsyncGateway:
         """Spawn one worker process on a fresh worker/device id and
         register its bookkeeping (shared by pool start and respawns)."""
         worker_id = len(self._workers)
-        request_queue = self._ctx.Queue()
+        request_reader, request_writer = self._ctx.Pipe(duplex=False)
+        response_reader, response_writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, self.config.worker_wire(), request_queue,
-                  self._response_queue),
+            args=(worker_id, self.config.worker_wire(), Channel(request_reader),
+                  Channel(response_writer)),
             daemon=True,
             name=f"gateway-worker-{worker_id}",
         )
         process.start()
-        worker = _Worker(worker_id, process, request_queue, slot_id=slot_id,
-                         spare=spare)
+        # Drop the child's ends at once (before anything else forks), so
+        # the worker is their only holder: its death is then end-of-file
+        # on the response pipe and a broken pipe on the request pipe.
+        request_reader.close()
+        response_writer.close()
+        worker = _Worker(worker_id, process, Channel(request_writer),
+                         Channel(response_reader), slot_id=slot_id, spare=spare)
         worker.drained_event = asyncio.Event()
+        os.set_blocking(worker.responses.fileno(), False)
+        self._loop.add_reader(worker.responses.fileno(), self._on_readable, worker)
         self._workers.append(worker)
         self.metrics.observe_device_state(worker_id, "spare" if spare else "up")
         return worker
@@ -517,6 +526,7 @@ class AsyncGateway:
             # request no worker will ever serve.
             self._resolve_failed(flight, "no surviving gateway workers")
             return future
+        flight.frame = request.to_json()
         self._pending.append(flight)
         self._dispatch()
         return future
@@ -525,7 +535,7 @@ class AsyncGateway:
         return await self.submit_nowait(*args, **kwargs)
 
     # ------------------------------------------------------------------
-    # Dispatch / collection (loop thread only)
+    # Dispatch / responses (loop thread only)
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
         now_s = self.clock.now_s
@@ -544,41 +554,49 @@ class AsyncGateway:
             flight.worker_id = worker_id
             flight.dispatched_s = now_s
             self._inflight[worker_id] = flight
-            worker.request_queue.put((REQUEST_FRAME, flight.request.to_json()))
-
-    def _collect(self) -> None:
-        """Collector thread: response queue -> asyncio loop."""
-        while not self._collector_stop.is_set():
             try:
-                frame = self._response_queue.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            except (EOFError, OSError):
-                break
-            self._loop.call_soon_threadsafe(self._on_frame, frame)
+                worker.requests.put(REQUEST_FRAME, flight.frame)
+            except OSError:
+                # The worker died since it last answered: the same death
+                # its response pipe's end-of-file will report.
+                self._on_worker_death(worker)
 
-    def _on_frame(self, frame: tuple) -> None:
-        kind = frame[0]
-        if kind == RESPONSE_FRAME:
-            self._on_response(frame[1], frame[2])
-        elif kind == DRAINED_FRAME:
-            worker = self._workers[frame[1]]
-            worker.drained_totals = dict(frame[2])
-            worker.drained_event.set()
-        else:  # dead letter: an undecodable frame with no request to answer
-            self.dead_letters.append(str(frame[2]))
-            worker = self._workers[frame[1]]
-            if not worker.dead:
-                self._idle.append(frame[1])
-                self._dispatch()
+    def _on_readable(self, worker: _Worker) -> None:
+        """The worker's response pipe has bytes (or end-of-file)."""
+        try:
+            messages = worker.responses.read_messages()
+        except EOFError:
+            self._close_pipes(worker)
+            if not worker.dead and worker.drained_totals is None:
+                self._on_worker_death(worker)
+            return
+        for kind, body in messages:
+            if kind == RESPONSE_FRAME:
+                self._on_response(worker, body)
+            elif kind == DRAINED_FRAME:
+                worker.drained_totals = json.loads(body)
+                worker.drained_event.set()
+            else:  # dead letter: an undecodable frame with no request to answer
+                self.dead_letters.append(body.decode("utf-8", "replace"))
+                if not worker.dead:
+                    self._idle.append(worker.worker_id)
+                    self._dispatch()
 
-    def _on_response(self, worker_id: int, payload: str) -> None:
-        worker = self._workers[worker_id]
+    def _close_pipes(self, worker: _Worker) -> None:
+        """Stop watching the worker's response pipe and close the
+        gateway's ends of both pipes (idempotent)."""
+        if worker.responses.connection.closed:
+            return
+        self._loop.remove_reader(worker.responses.fileno())
+        worker.responses.close()
+        worker.requests.close()
+
+    def _on_response(self, worker: _Worker, payload: bytes) -> None:
         if worker.dead:
-            # Monitor/collector race: the worker put this frame on the
-            # queue and then died (or was killed) before we processed it.
-            # Its death already compensated and retried the flight, and
-            # its accounting currency is the last snapshot it shipped
+            # The worker wrote this frame and was then declared dead (the
+            # hang watchdog killed it, say) before we read it.  Its
+            # death already compensated and retried the flight, and its
+            # accounting currency is the last snapshot it shipped
             # *before* we declared it dead — absorbing this late frame
             # (usage or physical totals) would double-count the work.
             self.metrics.observe_late_frame()
@@ -589,17 +607,19 @@ class AsyncGateway:
             self._on_corrupt_frame(worker, exc)
             return
         worker.last_physical = dict(response.physical)
-        flight = self._inflight.pop(worker_id, None)
+        flight = self._inflight.pop(worker.worker_id, None)
         if flight is None:
             return  # stale frame (should not happen: one in flight per worker)
         now_s = self.clock.now_s
+        worker.served += 1
+        worker.busy_s += now_s - flight.dispatched_s
+        # Send the next frame before this response's bookkeeping, so the
+        # worker computes while the loop bills, counts and resolves.
+        self._idle.append(worker.worker_id)
+        self._dispatch()
         response.submitted_s = flight.submitted_s
         response.dispatched_s = flight.dispatched_s
         response.completed_s = now_s
-        worker.served += 1
-        worker.busy_s += now_s - flight.dispatched_s
-        if not worker.dead:
-            self._idle.append(worker_id)
         self.metrics.observe_compile(response.compile_hits, response.compile_misses)
         if flight.abandoned:
             # The deadline expired mid-flight and the future already
@@ -607,7 +627,6 @@ class AsyncGateway:
             # physical activity that must land on the fault side of the
             # ledger, never on the tenant's bill.
             self._compensate_abandoned(flight, response, now_s)
-            self._dispatch()
             return
         if response.status == "completed":
             self.metrics.observe_completion(
@@ -622,7 +641,6 @@ class AsyncGateway:
         self._record_billing(flight, response, now_s)
         if not flight.future.done():
             flight.future.set_result(response)
-        self._dispatch()
 
     def _on_corrupt_frame(self, worker: _Worker, exc: WireFormatError) -> None:
         """A worker shipped an undecodable response frame: fail only its
@@ -638,32 +656,8 @@ class AsyncGateway:
                 f"corrupt response frame from worker {worker.worker_id}: "
                 f"{exc}",
             )
-        self._fenced_kill(worker.process)
+        worker.process.kill()
         self._on_worker_death(worker, cause="corrupt-frame")
-
-    def _fenced_kill(self, process, terminate: bool = False) -> None:
-        """SIGKILL (or SIGTERM) a worker without poisoning the shared
-        response queue.
-
-        A worker's queue feeder thread holds the queue's *cross-process*
-        write lock while it streams a frame; a kill landing in that
-        window leaves the lock permanently held, and every surviving
-        worker wedges on its next ``put`` — the whole pool deadlocks.
-        Briefly holding the lock ourselves fences the victim out of the
-        critical section for the instant of the kill (kill before
-        release: a pending SIGKILL means the feeder can never re-enter
-        userspace to take the lock once we let go of it).
-        """
-        wlock = getattr(self._response_queue, "_wlock", None)
-        acquired = wlock.acquire(timeout=1.0) if wlock is not None else False
-        try:
-            if terminate:
-                process.terminate()
-            else:
-                process.kill()
-        finally:
-            if acquired:
-                wlock.release()
 
     def _record_billing(
         self, flight: _Flight, response: GatewayResponse, now_s: float
@@ -734,16 +728,13 @@ class AsyncGateway:
         )
 
     # ------------------------------------------------------------------
-    # Monitor: liveness, watchdog, deadlines, respawns
+    # Monitor: watchdog, deadlines, respawns
     # ------------------------------------------------------------------
     async def _monitor(self) -> None:
-        """Poll worker liveness, run the hang watchdog, enforce
-        deadlines and execute scheduled respawns."""
+        """Run the hang watchdog, enforce deadlines and execute scheduled
+        respawns (deaths need no polling: they arrive as end-of-file)."""
         while not self._closed:
             now_s = self.clock.now_s
-            for worker in list(self._workers):
-                if not worker.dead and not worker.process.is_alive():
-                    self._on_worker_death(worker)
             self._check_hangs(now_s)
             self._enforce_deadlines(now_s)
             self._run_respawns(now_s)
@@ -764,7 +755,7 @@ class AsyncGateway:
             # and run the exact crash contract — compensate, retry on a
             # survivor, respawn the slot.
             self.metrics.observe_hang_detected()
-            self._fenced_kill(worker.process)
+            worker.process.kill()
             self._on_worker_death(
                 worker,
                 cause="worker-hang",
@@ -846,6 +837,9 @@ class AsyncGateway:
         detail: Optional[str] = None,
     ) -> None:
         worker.dead = True
+        # A drain waiting for this worker's totals stops waiting: its
+        # accounting currency is now its last shipped snapshot.
+        worker.drained_event.set()
         worker_id = worker.worker_id
         self.metrics.observe_device_state(worker_id, "down")
         try:
@@ -942,6 +936,7 @@ class AsyncGateway:
         # Strip the fault marker: one marker means exactly one fault, and
         # the retry must run clean on a surviving worker.
         request.fault = None
+        flight.frame = request.to_json()
         self.metrics.observe_retry()
         self._pending.appendleft(flight)
         self._dispatch()
@@ -1003,7 +998,7 @@ class AsyncGateway:
                 for worker_id in list(self._inflight):
                     worker = self._workers[worker_id]
                     if not worker.dead:
-                        self._fenced_kill(worker.process)
+                        worker.process.kill()
                         self._on_worker_death(
                             worker,
                             cause="worker-hang",
@@ -1018,7 +1013,10 @@ class AsyncGateway:
             stalled_s += 0.05
         for worker in self._workers:
             if not worker.dead:
-                worker.request_queue.put((DRAIN_FRAME,))
+                try:
+                    worker.requests.put(DRAIN_FRAME)
+                except OSError:
+                    self._on_worker_death(worker)
         for worker in self._workers:
             if worker.dead:
                 continue
@@ -1030,7 +1028,7 @@ class AsyncGateway:
                 # Wedged mid-drain: kill it and fail anything it strands
                 # rather than hanging close forever.  Its accounting
                 # currency falls back to the last snapshot it shipped.
-                self._fenced_kill(worker.process)
+                worker.process.kill()
                 worker.dead = True
                 self.metrics.observe_device_state(worker.worker_id, "down")
                 self.metrics.observe_fault("worker-hang")
@@ -1048,19 +1046,17 @@ class AsyncGateway:
                 await self._monitor_task
             except asyncio.CancelledError:
                 pass
-        self._collector_stop.set()
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
         for worker in self._workers:
+            self._close_pipes(worker)
             worker.process.join(timeout=5.0)
             if worker.process.is_alive():
-                self._fenced_kill(worker.process, terminate=True)
+                worker.process.terminate()
                 worker.process.join(timeout=5.0)
             if worker.process.is_alive():
                 # terminate() did not take (blocked in an uninterruptible
                 # state): escalate to SIGKILL so close never leaves a
                 # zombie behind.
-                self._fenced_kill(worker.process)
+                worker.process.kill()
                 worker.process.join(timeout=5.0)
             if not worker.dead:
                 self.metrics.observe_device_state(worker.worker_id, "drained")

@@ -1,19 +1,30 @@
 """Typed request/response schema of the wall-clock gateway.
 
-Requests and responses are dataclasses with a JSON wire format — one
-object per message, array payloads carried as base64 bytes with a sha256
-content hash, exactly the encoding of the trace layer
-(:func:`repro.trace.schema.encode_array` / :func:`~repro.trace.schema.decode_array`).
-The shared encoding is deliberate: a recorded trace's ``submit`` events
-*are* valid gateway request bodies, which is what lets the load generator
-replay recordings and the differential drive the same bytes through both
-serving modes.
+Requests and responses are dataclasses that travel as one binary frame
+each::
 
-The wire format crosses a process boundary (gateway process → pool
-worker → gateway process), so decoding is defensive: malformed messages
-raise :class:`WireFormatError` — a worker never crashes on a bad frame,
-it answers with a failed response — and every array payload is verified
-against its content hash on both sides of the pipe.
+    prefix   b"CIMW" magic | version (u8) | header length (u32, LE)
+    header   UTF-8 JSON: {"fields": {...scalars...},
+                          "arrays": [[name, dtype, shape, nbytes, sha256],
+                                     ...]}
+    payload  the raw bytes of every array, back to back, in header order
+
+Scalars (ids, tenant, kernel source, params, usage counters) are JSON,
+which round-trips doubles exactly; arrays are their C-order bytes, so
+they round-trip bit for bit (NaN payloads and ``-0.0`` included) with
+no text encoding on the way.  The trace layer keeps its own JSON+base64
+array encoding (:func:`repro.trace.schema.encode_array`); recorded
+``submit`` events become gateway requests through
+:func:`~repro.gateway.loadgen.trace_workload`, which decodes them.
+
+The frame crosses a process boundary (gateway process → pool worker →
+gateway process), so decoding is defensive: a bad magic or version, a
+truncated header or payload, an array whose dtype, shape and nbytes
+disagree, a payload whose bytes do not match their sha256, and trailing
+bytes all raise :class:`WireFormatError` before any state is touched —
+a worker never crashes on a bad frame, it answers with a dead letter —
+and every array is verified against its content hash on both sides of
+the pipe.
 
 ``GatewayRequest.fault`` is the gateway's deterministic fault-injection
 seam (the wall-clock analogue of the fleet's seeded
@@ -25,14 +36,14 @@ one marker means exactly one worker death.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-
-from repro.trace.schema import TraceFormatError, decode_array, encode_array
 
 #: Fault markers a request may carry (see module docstring).
 #:
@@ -47,8 +58,8 @@ from repro.trace.schema import TraceFormatError, decode_array, encode_array
 #:   :data:`SLOW_FAULT_DELAY_S` (or the given delay) and then serves the
 #:   request normally (deadline pressure without losing work);
 #: * ``corrupt-frame`` — the worker serves the request and then ships a
-#:   deliberately mangled response frame (undecodable JSON), the
-#:   byzantine shape the gateway's defensive collector must absorb.
+#:   deliberately truncated response frame (undecodable), the
+#:   byzantine shape the gateway's defensive decoding must absorb.
 FAULT_MARKERS = (
     "die-before-dispatch",
     "die-mid-request",
@@ -66,7 +77,7 @@ def validate_fault_marker(fault: Optional[str]) -> None:
     (``None``, a known marker, or ``slow:<seconds>`` are accepted)."""
     if fault is None or fault in FAULT_MARKERS:
         return
-    if fault.startswith("slow:"):
+    if isinstance(fault, str) and fault.startswith("slow:"):
         try:
             delay_s = float(fault[len("slow:"):])
         except ValueError:
@@ -93,10 +104,159 @@ FAULT_EXIT_CODE = 137
 
 
 class WireFormatError(RuntimeError):
-    """A gateway wire message violates the schema: missing fields, a
-    payload whose bytes do not match their recorded sha256, an unknown
-    status or fault marker.  Raised by the decoders before any state is
-    touched — a bad frame is rejected whole."""
+    """A gateway wire frame violates the format: a bad magic or version,
+    a truncated or trailing byte, an inconsistent array description, a
+    payload whose bytes do not match their recorded sha256, a missing
+    field, an unknown status or fault marker.  Raised by the decoders
+    before any state is touched — a bad frame is rejected whole."""
+
+
+#: Frame prefix: magic, format version, JSON header length.
+FRAME_PREFIX = struct.Struct("<4sBI")
+FRAME_MAGIC = b"CIMW"
+FRAME_VERSION = 1
+
+#: Array kinds that travel as raw bytes: bool, signed/unsigned integer,
+#: float and complex (never object arrays, whose bytes are pointers).
+_ARRAY_KINDS = frozenset("biufc")
+
+
+def _plain(value):
+    """JSON ``default`` hook: numpy scalars become native Python numbers."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"{type(value).__name__} is not JSON-serializable")
+
+
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_plain)
+
+
+def encode_frame(fields: Mapping, arrays: Mapping[str, np.ndarray]) -> bytes:
+    """One binary frame: *fields* (JSON scalars) in the header, each array
+    of *arrays* described there as ``[name, dtype, shape, nbytes,
+    sha256]`` and carried as raw C-order bytes."""
+    specs = []
+    payloads = []
+    for name, value in arrays.items():
+        data = np.asarray(value)
+        if data.dtype.kind not in _ARRAY_KINDS:
+            raise WireFormatError(
+                f"array {name!r}: dtype {data.dtype} cannot travel on the wire"
+            )
+        if not data.flags.c_contiguous:
+            data = np.ascontiguousarray(data)
+        specs.append([name, data.dtype.str, data.shape, data.nbytes,
+                      hashlib.sha256(data).hexdigest()])
+        payloads.append(data)
+    try:
+        header = _HEADER_ENCODER.encode(
+            {"fields": fields, "arrays": specs}
+        ).encode("utf-8")
+    except TypeError as exc:
+        raise WireFormatError(f"frame header: {exc}") from exc
+    prefix = FRAME_PREFIX.pack(FRAME_MAGIC, FRAME_VERSION, len(header))
+    return b"".join([prefix, header, *payloads])
+
+
+def decode_frame(frame, where: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Split one binary frame into its scalar fields and its arrays,
+    verifying every length and every array's sha256; raises
+    :class:`WireFormatError` on any inconsistency."""
+    try:
+        view = memoryview(frame).cast("B")
+    except TypeError:
+        raise WireFormatError(
+            f"{where}: frame must be bytes, got {type(frame).__name__}"
+        ) from None
+    size = view.nbytes
+    if size < FRAME_PREFIX.size:
+        raise WireFormatError(
+            f"{where}: truncated frame ({size} bytes, the prefix alone "
+            f"needs {FRAME_PREFIX.size})"
+        )
+    magic, version, header_len = FRAME_PREFIX.unpack_from(view)
+    if magic != FRAME_MAGIC:
+        raise WireFormatError(f"{where}: bad frame magic {magic!r}")
+    if version != FRAME_VERSION:
+        raise WireFormatError(
+            f"{where}: unsupported frame version {version} "
+            f"(this build speaks {FRAME_VERSION})"
+        )
+    offset = FRAME_PREFIX.size + header_len
+    if offset > size:
+        raise WireFormatError(
+            f"{where}: truncated frame header ({size - FRAME_PREFIX.size} "
+            f"of {header_len} bytes)"
+        )
+    try:
+        header = json.loads(str(view[FRAME_PREFIX.size:offset], "utf-8"))
+    except (ValueError, RecursionError) as exc:  # incl. UnicodeDecodeError
+        raise WireFormatError(f"{where}: corrupt frame header ({exc})") from exc
+    if (
+        not isinstance(header, dict)
+        or not isinstance(header.get("fields"), dict)
+        or not isinstance(header.get("arrays"), list)
+    ):
+        raise WireFormatError(
+            f"{where}: frame header must hold a 'fields' object and an "
+            "'arrays' list"
+        )
+    arrays: dict[str, np.ndarray] = {}
+    for spec in header["arrays"]:
+        name, dtype, shape, nbytes, digest = _array_spec(spec, where, arrays)
+        end = offset + nbytes
+        if end > size:
+            raise WireFormatError(
+                f"{where}: truncated payload of array {name!r} "
+                f"({max(size - offset, 0)} of {nbytes} bytes)"
+            )
+        raw = view[offset:end]
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise WireFormatError(
+                f"{where}: array {name!r} bytes do not match their "
+                "recorded sha256"
+            )
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        offset = end
+    if offset != size:
+        raise WireFormatError(
+            f"{where}: {size - offset} trailing bytes after the last array"
+        )
+    return header["fields"], arrays
+
+
+def _array_spec(spec, where: str, seen: Mapping):
+    """Validate one ``[name, dtype, shape, nbytes, sha256]`` array
+    description of a frame header."""
+    try:
+        name, dtype_str, shape, nbytes, digest = spec
+        shape = tuple(shape)
+    except (TypeError, ValueError):
+        raise WireFormatError(
+            f"{where}: malformed array description {spec!r}"
+        ) from None
+    if not isinstance(name, str) or name in seen:
+        raise WireFormatError(f"{where}: bad or duplicate array name {name!r}")
+    try:
+        dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype.kind not in _ARRAY_KINDS:
+        raise WireFormatError(
+            f"{where} array {name!r}: dtype {dtype_str!r} cannot travel on the wire"
+        )
+    if not all(type(dim) is int and dim >= 0 for dim in shape):
+        raise WireFormatError(f"{where} array {name!r}: bad shape {list(shape)!r}")
+    if type(nbytes) is not int or nbytes != dtype.itemsize * math.prod(shape):
+        raise WireFormatError(
+            f"{where} array {name!r}: nbytes {nbytes!r} disagrees with dtype "
+            f"{dtype_str} and shape {list(shape)}"
+        )
+    if not isinstance(digest, str):
+        raise WireFormatError(f"{where} array {name!r}: sha256 must be a hex string")
+    return name, dtype, shape, nbytes, digest
 
 
 def _require(mapping: Mapping, key: str, where: str):
@@ -104,18 +264,6 @@ def _require(mapping: Mapping, key: str, where: str):
         return mapping[key]
     except KeyError:
         raise WireFormatError(f"{where}: missing field {key!r}") from None
-
-
-def _decode_payloads(payloads, where: str) -> dict[str, np.ndarray]:
-    if not isinstance(payloads, dict):
-        raise WireFormatError(f"{where}: array payloads must be an object")
-    try:
-        return {
-            name: decode_array(payload, where=f"{where} array {name!r}")
-            for name, payload in payloads.items()
-        }
-    except TraceFormatError as exc:
-        raise WireFormatError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -153,46 +301,41 @@ class GatewayRequest:
             self.deadline_s = deadline_s
 
     # -- wire codec -----------------------------------------------------
-    def to_wire(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "source": self.source,
-            "params": {key: _plain(value) for key, value in self.params.items()},
-            "arrays": {
-                name: encode_array(np.asarray(value))
-                for name, value in self.arrays.items()
+    def to_json(self) -> bytes:
+        """This request as one binary wire frame: a UTF-8 JSON header
+        (the scalar fields, each array's dtype, shape, nbytes and sha256)
+        followed by the raw array bytes (see :func:`encode_frame`)."""
+        return encode_frame(
+            {
+                "request_id": self.request_id,
+                "tenant": self.tenant,
+                "source": self.source,
+                "params": self.params,
+                "attempt": self.attempt,
+                "fault": self.fault,
+                "deadline_s": self.deadline_s,
             },
-            "attempt": self.attempt,
-            "fault": self.fault,
-            "deadline_s": self.deadline_s,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_wire(), separators=(",", ":"))
-
-    @classmethod
-    def from_wire(cls, wire: Mapping) -> "GatewayRequest":
-        if not isinstance(wire, Mapping):
-            raise WireFormatError("request: wire frame is not an object")
-        return cls(
-            request_id=int(_require(wire, "request_id", "request")),
-            tenant=_require(wire, "tenant", "request"),
-            source=_require(wire, "source", "request"),
-            params=dict(_require(wire, "params", "request")),
-            arrays=_decode_payloads(_require(wire, "arrays", "request"), "request"),
-            attempt=int(wire.get("attempt", 1)),
-            fault=wire.get("fault"),
-            deadline_s=wire.get("deadline_s"),
+            self.arrays,
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "GatewayRequest":
+    def from_json(cls, frame: bytes) -> "GatewayRequest":
+        """Decode one binary frame (JSON header followed by raw array
+        bytes); raises :class:`WireFormatError` on any malformed frame."""
+        fields, arrays = decode_frame(frame, "request")
         try:
-            wire = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise WireFormatError(f"request: corrupt JSON frame ({exc.msg})") from exc
-        return cls.from_wire(wire)
+            return cls(
+                request_id=int(_require(fields, "request_id", "request")),
+                tenant=_require(fields, "tenant", "request"),
+                source=_require(fields, "source", "request"),
+                params=dict(_require(fields, "params", "request")),
+                arrays=arrays,
+                attempt=int(fields.get("attempt", 1)),
+                fault=fields.get("fault"),
+                deadline_s=fields.get("deadline_s"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise WireFormatError(f"request: malformed field ({exc})") from exc
 
 
 # ----------------------------------------------------------------------
@@ -261,60 +404,47 @@ class GatewayResponse:
         return self.completed_s - self.submitted_s
 
     # -- wire codec -----------------------------------------------------
-    def to_wire(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "status": self.status,
-            "worker_id": self.worker_id,
-            "attempt": self.attempt,
-            "reason": self.reason,
-            "result": {
-                name: encode_array(np.asarray(value))
-                for name, value in self.result.items()
+    def to_json(self) -> bytes:
+        """This response as one binary wire frame: a UTF-8 JSON header
+        (the scalar fields, each result array's dtype, shape, nbytes and
+        sha256) followed by the raw array bytes (see
+        :func:`encode_frame`).  The gateway-side milestones never travel."""
+        return encode_frame(
+            {
+                "request_id": self.request_id,
+                "tenant": self.tenant,
+                "status": self.status,
+                "worker_id": self.worker_id,
+                "attempt": self.attempt,
+                "reason": self.reason,
+                "usage": self.usage,
+                "housekeeping_energy_j": self.housekeeping_energy_j,
+                "physical": self.physical,
+                "compile_hits": self.compile_hits,
+                "compile_misses": self.compile_misses,
             },
-            "usage": dict(self.usage),
-            "housekeeping_energy_j": list(self.housekeeping_energy_j),
-            "physical": dict(self.physical),
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_wire(), separators=(",", ":"))
-
-    @classmethod
-    def from_wire(cls, wire: Mapping) -> "GatewayResponse":
-        if not isinstance(wire, Mapping):
-            raise WireFormatError("response: wire frame is not an object")
-        return cls(
-            request_id=int(_require(wire, "request_id", "response")),
-            tenant=_require(wire, "tenant", "response"),
-            status=_require(wire, "status", "response"),
-            worker_id=int(_require(wire, "worker_id", "response")),
-            attempt=int(wire.get("attempt", 1)),
-            reason=wire.get("reason"),
-            result=_decode_payloads(wire.get("result", {}), "response"),
-            usage=dict(wire.get("usage", {})),
-            housekeeping_energy_j=list(wire.get("housekeeping_energy_j", [])),
-            physical=dict(wire.get("physical", {})),
-            compile_hits=int(wire.get("compile_hits", 0)),
-            compile_misses=int(wire.get("compile_misses", 0)),
+            self.result,
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "GatewayResponse":
+    def from_json(cls, frame: bytes) -> "GatewayResponse":
+        """Decode one binary frame (JSON header followed by raw array
+        bytes); raises :class:`WireFormatError` on any malformed frame."""
+        fields, result = decode_frame(frame, "response")
         try:
-            wire = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise WireFormatError(f"response: corrupt JSON frame ({exc.msg})") from exc
-        return cls.from_wire(wire)
-
-
-def _plain(value):
-    """Coerce numpy scalars to JSON-native Python numbers."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+            return cls(
+                request_id=int(_require(fields, "request_id", "response")),
+                tenant=_require(fields, "tenant", "response"),
+                status=_require(fields, "status", "response"),
+                worker_id=int(_require(fields, "worker_id", "response")),
+                attempt=int(fields.get("attempt", 1)),
+                reason=fields.get("reason"),
+                result=result,
+                usage=dict(fields.get("usage", {})),
+                housekeeping_energy_j=list(fields.get("housekeeping_energy_j", [])),
+                physical=dict(fields.get("physical", {})),
+                compile_hits=int(fields.get("compile_hits", 0)),
+                compile_misses=int(fields.get("compile_misses", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise WireFormatError(f"response: malformed field ({exc})") from exc

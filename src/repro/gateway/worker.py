@@ -21,19 +21,26 @@ as per-request ledger deltas — so a request's usage record is a pure
 function of the request, independent of which worker serves it or what
 ran before.
 
-The worker speaks the :mod:`repro.gateway.wire` JSON format over a pair
-of ``multiprocessing`` queues and honours the deterministic
-fault-injection markers: ``die-before-dispatch`` exits the process before
-any work happens, ``die-mid-request`` performs the full dispatch and
-exits before the response leaves the process (so the computed outputs and
-the device's physical ledgers are genuinely lost, exactly like a machine
-kill).  Crash recovery and compensation are the gateway's job
-(:mod:`repro.gateway.server`).
+The worker talks to the gateway over two simplex pipes, one per
+direction (:class:`Channel`): it blocks reading the next message from
+its request pipe, serves it, and writes the response frame
+(:mod:`repro.gateway.wire`) to its response pipe before reading again.
+Each pipe has exactly one writer, so no cross-process lock guards it,
+and a kill can land at any instant without wedging anyone else: the
+gateway sees the death as end-of-file on the response pipe.  The worker
+honours the deterministic fault-injection markers: ``die-before-dispatch``
+exits the process before any work happens, ``die-mid-request`` performs
+the full dispatch and exits before the response leaves the process (so
+the computed outputs and the device's physical ledgers are genuinely
+lost, exactly like a machine kill).  Crash recovery and compensation are
+the gateway's job (:mod:`repro.gateway.server`).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import time
 from typing import Optional
 
@@ -47,13 +54,98 @@ from repro.gateway.wire import (
 )
 from repro.hw.stats import ExactSum
 
-#: Queue frames (gateway -> worker).
-REQUEST_FRAME = "request"
-DRAIN_FRAME = "drain"
+#: Message kinds, gateway -> worker.
+REQUEST_FRAME = 1
+DRAIN_FRAME = 2
 
-#: Queue frames (worker -> gateway).
-RESPONSE_FRAME = "response"
-DRAINED_FRAME = "drained"
+#: Message kinds, worker -> gateway.
+RESPONSE_FRAME = 3
+DRAINED_FRAME = 4
+DEAD_LETTER_FRAME = 5
+
+#: Every pipe message: its kind, then its body length, then the body.
+_MESSAGE = struct.Struct("<BQ")
+#: Most bytes taken from a pipe by one read: the default Linux pipe
+#: capacity.  A much larger read size costs a large allocation (an
+#: ``mmap``) on every read, which is several times the read itself.
+_READ_CHUNK = 1 << 16
+
+
+class Channel:
+    """One end of a simplex pipe carrying ``(kind, body)`` messages.
+
+    Wraps a :func:`multiprocessing.Pipe` connection for its file
+    descriptor, which reaches the worker under both ``fork`` and
+    ``spawn``; the messages are framed here (:data:`_MESSAGE`), not by
+    the connection.  :meth:`put` blocks until the whole message is in the
+    pipe.  The worker reads its requests with the blocking :meth:`get`;
+    the gateway reads responses from its event loop with
+    :meth:`read_messages` on a non-blocking descriptor.
+    """
+
+    def __init__(self, connection):
+        self.connection = connection
+        #: Bytes read but not yet returned as a whole message.
+        self._buffer = bytearray()
+
+    def fileno(self) -> int:
+        return self.connection.fileno()
+
+    def put(self, kind: int, body: bytes = b"") -> None:
+        """Write one message; ``OSError`` (``BrokenPipeError``) once the
+        reader is gone."""
+        view = memoryview(_MESSAGE.pack(kind, len(body)) + body)
+        fd = self.fileno()
+        while view:
+            view = view[os.write(fd, view):]
+
+    def get(self) -> tuple[int, bytes]:
+        """Block until one whole message has arrived; ``EOFError`` once
+        the writer is gone."""
+        kind, size = _MESSAGE.unpack(self._read_exactly(_MESSAGE.size))
+        return kind, self._read_exactly(size)
+
+    def empty(self) -> bool:
+        """No message is waiting to be read."""
+        return not self.connection.poll()
+
+    def read_messages(self) -> list[tuple[int, bytes]]:
+        """Take what the non-blocking pipe holds and return the whole
+        messages received so far (a partial one stays buffered);
+        ``EOFError`` once the writer is gone and everything was read."""
+        try:
+            chunk = os.read(self.fileno(), _READ_CHUNK)
+        except BlockingIOError:
+            return []
+        if not chunk:
+            raise EOFError("pipe closed by its writer")
+        buffer = self._buffer
+        buffer += chunk
+        messages = []
+        start = 0
+        while len(buffer) - start >= _MESSAGE.size:
+            kind, size = _MESSAGE.unpack_from(buffer, start)
+            end = start + _MESSAGE.size + size
+            if end > len(buffer):
+                break
+            messages.append((kind, bytes(buffer[start + _MESSAGE.size:end])))
+            start = end
+        del buffer[:start]
+        return messages
+
+    def close(self) -> None:
+        self.connection.close()
+
+    def _read_exactly(self, size: int) -> bytes:
+        chunks = []
+        fd = self.fileno()
+        while size:
+            chunk = os.read(fd, min(size, _READ_CHUNK))
+            if not chunk:
+                raise EOFError("pipe closed by its writer")
+            chunks.append(chunk)
+            size -= len(chunk)
+        return b"".join(chunks)
 
 
 class _PhysicalTotals:
@@ -208,48 +300,38 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
     )
 
 
-def _crash(response_queue) -> None:
-    """Abrupt process death for the crash fault markers — but only after
-    the response queue's feeder thread has flushed.  ``os._exit`` while
-    the feeder holds the queue's *shared* write lock would leave that
-    cross-process lock permanently held, wedging every surviving worker's
-    next ``put``; close + join guarantees the feeder is done before the
-    process dies, without shipping anything new."""
-    response_queue.close()
-    response_queue.join_thread()
-    os._exit(FAULT_EXIT_CODE)
-
-
 def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> None:
     """Pool worker entry point (top-level so it spawns on any platform).
 
-    Loops on the request queue until a drain frame arrives, serving one
-    request at a time and shipping each response together with the
-    worker-cumulative physical snapshot (the accounting currency that
-    survives the worker's death — see :mod:`repro.gateway.server`).  The
-    drain frame is answered with the worker's authoritative physical
-    totals, then the worker exits cleanly.
+    *request_queue* and *response_queue* are the worker's ends of its two
+    pipes (:class:`Channel`).  Serves one request at a time until a drain
+    message arrives or the gateway closes the request pipe, shipping each
+    response together with the worker-cumulative physical snapshot (the
+    accounting currency that survives the worker's death — see
+    :mod:`repro.gateway.server`).  The drain message is answered with the
+    worker's authoritative physical totals, then the worker exits cleanly.
     """
     server = build_worker_server(config)
     physical = _PhysicalTotals()
     try:
         while True:
-            frame = request_queue.get()
-            kind = frame[0]
+            try:
+                kind, body = request_queue.get()
+            except EOFError:
+                break  # the gateway is gone: nothing left to answer
             if kind == DRAIN_FRAME:
-                response_queue.put(
-                    (DRAINED_FRAME, worker_id, physical.authoritative())
-                )
+                totals = json.dumps(physical.authoritative()).encode()
+                response_queue.put(DRAINED_FRAME, totals)
                 break
             try:
-                request = GatewayRequest.from_json(frame[1])
+                request = GatewayRequest.from_json(body)
             except WireFormatError as exc:
                 # A frame that decodes this badly has no request id to
                 # answer for; report it as a dead letter and move on.
-                response_queue.put(("dead-letter", worker_id, str(exc)))
+                response_queue.put(DEAD_LETTER_FRAME, str(exc).encode())
                 continue
             if request.fault == "die-before-dispatch":
-                _crash(response_queue)
+                os._exit(FAULT_EXIT_CODE)
             if request.fault == "hang":
                 # Wedge forever without doing any work: the process stays
                 # alive but never answers, which is exactly the shape the
@@ -271,17 +353,17 @@ def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> 
                 # response escapes: the work is genuinely lost, which is
                 # exactly the window the gateway's crash recovery and
                 # FaultCompensation accounting must cover.
-                _crash(response_queue)
+                os._exit(FAULT_EXIT_CODE)
             response.physical = physical.snapshot()
             payload = response.to_json()
             if request.fault == "corrupt-frame":
                 # Byzantine worker: the device worked, but the frame that
-                # leaves the process is garbage (truncated JSON).  The
-                # gateway must fail only this request with a typed reason
-                # and kill this process — its in-process ledgers now hold
+                # leaves the process is garbage (truncated).  The gateway
+                # must fail only this request with a typed reason and
+                # kill this process — its in-process ledgers now hold
                 # work no decodable snapshot will ever account for, so
                 # letting it live would break the partition.
                 payload = payload[: len(payload) // 2]
-            response_queue.put((RESPONSE_FRAME, worker_id, payload))
+            response_queue.put(RESPONSE_FRAME, payload)
     finally:
         server.shutdown()

@@ -9,22 +9,9 @@ counters for the evaluation layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.hw.energy import CimEnergyModel
-
-
-@dataclass
-class DmaTransfer:
-    """Description of one completed DMA transfer."""
-
-    direction: str  # "mem_to_acc" or "acc_to_mem"
-    address: int
-    size_bytes: int
-    duration_s: float
-    energy_j: float
 
 
 class DMAEngine:
@@ -35,7 +22,6 @@ class DMAEngine:
         ``write(addr, bytes)`` methods (see :class:`repro.system.memory`)."""
         self.memory = memory
         self.energy_model = energy_model or CimEnergyModel()
-        self.transfers: list[DmaTransfer] = []
         self.total_bytes = 0
         self.total_energy_j = 0.0
         self.total_time_s = 0.0
@@ -44,7 +30,7 @@ class DMAEngine:
     def read(self, address: int, size_bytes: int) -> bytes:
         """Fetch *size_bytes* from shared memory into the accelerator."""
         payload = self.memory.read(address, size_bytes)
-        self._account("mem_to_acc", address, size_bytes)
+        self._account(size_bytes)
         return payload
 
     def write(self, address: int, payload: bytes | np.ndarray) -> int:
@@ -53,7 +39,7 @@ class DMAEngine:
             payload, np.ndarray
         ) else bytes(payload)
         self.memory.write(address, data)
-        self._account("acc_to_mem", address, len(data))
+        self._account(len(data))
         return len(data)
 
     def read_array(self, address: int, count: int, dtype=np.float32) -> np.ndarray:
@@ -66,18 +52,14 @@ class DMAEngine:
         return self.write(address, np.ascontiguousarray(array).view(np.uint8).ravel())
 
     # ------------------------------------------------------------------
-    def _account(self, direction: str, address: int, size_bytes: int) -> None:
+    def _account(self, size_bytes: int) -> None:
         energy = size_bytes * self.energy_model.dma_energy_per_byte_j
         duration = size_bytes / self.energy_model.dma_bandwidth_bytes_per_s
-        self.transfers.append(
-            DmaTransfer(direction, address, size_bytes, duration, energy)
-        )
         self.total_bytes += size_bytes
         self.total_energy_j += energy
         self.total_time_s += duration
 
     def reset_stats(self) -> None:
-        self.transfers.clear()
         self.total_bytes = 0
         self.total_energy_j = 0.0
         self.total_time_s = 0.0

@@ -42,7 +42,6 @@ class CimBlas:
     def __init__(self, runtime: CimRuntime):
         self.runtime = runtime
         self.driver: CimDriver = runtime.driver
-        self.calls: list[BlasCallStats] = []
 
     # ------------------------------------------------------------------
     # polly_cimBlasSGemm
@@ -270,11 +269,9 @@ class CimBlas:
         run = self.driver.accelerator.last_run
         if run is None:
             raise CimRuntimeError("accelerator finished without reporting statistics")
-        stats = BlasCallStats(
+        return BlasCallStats(
             operation=operation,
             accelerator=run,
             flush_bytes=flush_bytes,
             batch_size=batch_size,
         )
-        self.calls.append(stats)
-        return stats

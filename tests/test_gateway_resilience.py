@@ -338,8 +338,8 @@ class TestDefensiveCollector:
 
 class TestLateFrameRace:
     def test_late_frame_from_dead_worker_is_ignored(self):
-        """The monitor/retry race: a worker is declared dead while its
-        response frame is already on the queue.  The late frame must be
+        """The death/response race: a worker is declared dead while its
+        response frame is already in its pipe.  The late frame must be
         ignored — absorbing its usage or physical snapshot would bill
         twice and corrupt the partition."""
         workload = synthetic_gemv_workload(num_tenants=1, seed=21)
@@ -359,11 +359,8 @@ class TestLateFrameRace:
                     lambda: gateway.metrics.late_frames_ignored == 1
                 )
                 # The zombie process is still alive (the death was a
-                # simulation); reap it so drain doesn't wait on it.  The
-                # fenced kill matters even here: the frame just received
-                # may still have the worker's feeder inside the queue's
-                # shared write-lock critical section.
-                gateway._fenced_kill(worker.process)
+                # simulation); reap it so drain doesn't wait on it.
+                worker.process.kill()
                 await gateway.drain()
                 return worker_id, response, gateway
 
@@ -410,7 +407,7 @@ class TestDrainEscalation:
                     fault="hang",
                 )
                 worker = gateway._workers[0]
-                worker.request_queue.put((REQUEST_FRAME, rogue.to_json()))
+                worker.requests.put(REQUEST_FRAME, rogue.to_json())
                 await asyncio.sleep(0.2)
                 await gateway.drain()
                 return response, worker

@@ -1,9 +1,9 @@
-"""Unit tests for the gateway wire schema (PR 9).
+"""Unit tests for the gateway wire schema.
 
 The wire format crosses a process boundary, so the contract under test
-is defensive bit-exactness: arrays round-trip byte-for-byte through the
-base64+sha256 payload encoding, floats round-trip exactly through JSON,
-and every malformed frame is rejected whole with a
+is defensive bit-exactness: arrays round-trip byte-for-byte as the raw
+payload of the binary frame, floats round-trip exactly through its JSON
+header, and every malformed frame is rejected whole with a
 :class:`~repro.gateway.wire.WireFormatError` before any state is touched.
 """
 
@@ -13,14 +13,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway.wire import (
     FAULT_MARKERS,
+    FRAME_PREFIX,
     GatewayRequest,
     GatewayResponse,
     RESPONSE_STATUSES,
     USAGE_FIELDS,
     WireFormatError,
+    encode_frame,
 )
 
 SOURCE = "void k(int N, float x[N]) { for (int i = 0; i < N; i++) x[i] += 1.0; }"
@@ -36,6 +40,19 @@ def make_request(**overrides) -> GatewayRequest:
     )
     fields.update(overrides)
     return GatewayRequest(**fields)
+
+
+def split_frame(frame: bytes) -> tuple[dict, bytes]:
+    """A frame's JSON header (parsed) and its raw array payload."""
+    _, _, header_len = FRAME_PREFIX.unpack_from(frame)
+    end = FRAME_PREFIX.size + header_len
+    return json.loads(frame[FRAME_PREFIX.size:end]), frame[end:]
+
+
+def join_frame(header: dict, payload: bytes) -> bytes:
+    """Reassemble a frame around a (possibly tampered) header."""
+    text = json.dumps(header).encode()
+    return FRAME_PREFIX.pack(b"CIMW", 1, len(text)) + text + payload
 
 
 class TestRequestWire:
@@ -67,8 +84,12 @@ class TestRequestWire:
 
     def test_numpy_scalar_params_become_json_native(self):
         request = make_request(params={"N": np.int64(4), "a": np.float32(0.5)})
-        wire = json.loads(request.to_json())
-        assert wire["params"] == {"N": 4, "a": 0.5}
+        header, _ = split_frame(request.to_json())
+        assert header["fields"]["params"] == {"N": 4, "a": 0.5}
+        decoded = GatewayRequest.from_json(request.to_json())
+        assert decoded.params == {"N": 4, "a": 0.5}
+        assert type(decoded.params["N"]) is int
+        assert type(decoded.params["a"]) is float
 
     def test_unknown_fault_marker_rejected(self):
         with pytest.raises(WireFormatError, match="fault marker"):
@@ -81,20 +102,28 @@ class TestRequestWire:
             make_request(source="   ")
 
     def test_corrupt_json_rejected(self):
-        with pytest.raises(WireFormatError, match="corrupt JSON"):
+        # Text where a frame belongs fails the magic check.
+        with pytest.raises(WireFormatError, match="magic"):
+            GatewayRequest.from_json(b"{not json")
+        # A well-framed header that is not JSON.
+        text = b"{not json"
+        frame = FRAME_PREFIX.pack(b"CIMW", 1, len(text)) + text
+        with pytest.raises(WireFormatError, match="corrupt frame header"):
+            GatewayRequest.from_json(frame)
+        with pytest.raises(WireFormatError, match="must be bytes"):
             GatewayRequest.from_json("{not json")
 
     def test_missing_field_rejected(self):
-        wire = make_request().to_wire()
-        del wire["tenant"]
+        header, payload = split_frame(make_request().to_json())
+        del header["fields"]["tenant"]
         with pytest.raises(WireFormatError, match="missing field 'tenant'"):
-            GatewayRequest.from_wire(wire)
+            GatewayRequest.from_json(join_frame(header, payload))
 
     def test_tampered_payload_hash_rejected(self):
-        wire = make_request().to_wire()
-        wire["arrays"]["x"]["sha256"] = "0" * 64
+        header, payload = split_frame(make_request().to_json())
+        header["arrays"][0][4] = "0" * 64
         with pytest.raises(WireFormatError, match="sha256"):
-            GatewayRequest.from_wire(wire)
+            GatewayRequest.from_json(join_frame(header, payload))
 
 
 class TestResponseWire:
@@ -149,6 +178,116 @@ class TestResponseWire:
 
     def test_milestones_are_gateway_side_only(self):
         # The worker never ships timestamps; the wire frame has none.
-        wire = self.make_response().to_wire()
-        assert "submitted_s" not in wire
-        assert "completed_s" not in wire
+        response = self.make_response()
+        response.submitted_s = response.completed_s = 1.0
+        header, _ = split_frame(response.to_json())
+        assert "submitted_s" not in header["fields"]
+        assert "completed_s" not in header["fields"]
+
+
+def _bits(values, dtype) -> np.ndarray:
+    """Floats from raw bit patterns (NaN payloads survive only as bits)."""
+    uint = {np.float32: np.uint32, np.float64: np.uint64}[dtype]
+    return np.array(values, dtype=uint).view(dtype)
+
+
+ARRAY_DTYPES = st.sampled_from(
+    [np.float32, np.float64, np.int32, np.int64, np.uint8, np.bool_, np.complex64]
+)
+
+
+@st.composite
+def frames(draw):
+    """A valid request frame with one to three small random arrays."""
+    arrays = {}
+    for index in range(draw(st.integers(1, 3))):
+        dtype = np.dtype(draw(ARRAY_DTYPES))
+        shape = tuple(draw(st.lists(st.integers(0, 4), max_size=2)))
+        size = int(np.prod(shape)) * dtype.itemsize
+        raw = draw(st.binary(min_size=size, max_size=size))
+        arrays[f"a{index}"] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return make_request(arrays=arrays).to_json()
+
+
+class TestFrameFormat:
+    @settings(max_examples=40, deadline=None)
+    @given(frame=frames(), flip=st.integers(1, 255))
+    def test_every_truncation_and_payload_flip_is_rejected(self, frame, flip):
+        for end in range(len(frame)):
+            with pytest.raises(WireFormatError):
+                GatewayRequest.from_json(frame[:end])
+        header, payload = split_frame(frame)
+        start = len(frame) - len(payload)
+        for position in range(start, len(frame)):
+            tampered = bytearray(frame)
+            tampered[position] ^= flip
+            with pytest.raises(WireFormatError, match="sha256"):
+                GatewayRequest.from_json(bytes(tampered))
+        assert GatewayRequest.from_json(frame).arrays.keys() == {
+            spec[0] for spec in header["arrays"]
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_roundtrip_is_bit_exact(self, dtype):
+        exponent = {np.float32: 0x7F800000, np.float64: 0x7FF0000000000000}[dtype]
+        sign = {np.float32: 0x80000000, np.float64: 0x8000000000000000}[dtype]
+        specials = _bits(
+            [exponent | 1, exponent | 0x12345, sign | exponent | 3, sign, exponent],
+            dtype,
+        )  # signalling/quiet NaN payloads, a negative NaN, -0.0, +inf
+        matrix = np.arange(24, dtype=dtype).reshape(4, 6) / 7
+        arrays = {
+            "specials": specials,
+            "zero_d": np.asarray(dtype(-0.0)),
+            "empty": np.zeros((0, 3), dtype=dtype),
+            "strided": matrix[:, ::2],
+            "transposed": matrix.T,
+            "big_endian": matrix.astype(np.dtype(dtype).newbyteorder(">")),
+        }
+        decoded = GatewayRequest.from_json(make_request(arrays=arrays).to_json())
+        for name, original in arrays.items():
+            copy = decoded.arrays[name]
+            assert copy.dtype == original.dtype, name
+            assert copy.shape == original.shape, name
+            assert copy.tobytes() == original.tobytes(), name
+            assert copy.flags.writeable, name
+
+    def test_response_arrays_roundtrip(self):
+        result = {"y": _bits([0x7FC00001, 0x80000000], np.float32)}
+        response = GatewayResponse(
+            request_id=1, tenant="acme", status="completed", worker_id=0,
+            result=result,
+        )
+        decoded = GatewayResponse.from_json(response.to_json())
+        assert decoded.result["y"].tobytes() == result["y"].tobytes()
+
+    def test_bad_magic_version_and_trailing_bytes_rejected(self):
+        frame = make_request().to_json()
+        with pytest.raises(WireFormatError, match="magic"):
+            GatewayRequest.from_json(b"XXXX" + frame[4:])
+        with pytest.raises(WireFormatError, match="version"):
+            GatewayRequest.from_json(frame[:4] + bytes([2]) + frame[5:])
+        with pytest.raises(WireFormatError, match="trailing"):
+            GatewayRequest.from_json(frame + b"\0")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            (1, "<f8", "nbytes"),
+            (2, [5], "nbytes"),
+            (3, 12, "nbytes"),
+            (2, [-4], "shape"),
+            (1, "|O", "cannot travel"),
+            (1, "no-such-type", "cannot travel"),
+            (0, None, "array name"),
+        ],
+    )
+    def test_inconsistent_array_description_rejected(self, field, value, match):
+        header, payload = split_frame(make_request().to_json())
+        header["arrays"][0][field] = value
+        with pytest.raises(WireFormatError, match=match):
+            GatewayRequest.from_json(join_frame(header, payload))
+
+    def test_object_arrays_cannot_be_encoded(self):
+        with pytest.raises(WireFormatError, match="cannot travel"):
+            encode_frame({}, {"x": np.array([object()])})
